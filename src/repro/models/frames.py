@@ -19,6 +19,7 @@ matching typical compressed ImageNet thumbnails.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +40,14 @@ def jpeg_bits_per_pixel(quality: float) -> float:
     return float(np.interp(quality, _QUALITY_ANCHORS, _BPP_ANCHORS))
 
 
+@lru_cache(maxsize=256)
 def frame_bytes(resolution: int = 224, quality: float = 85.0) -> int:
-    """Bytes on the wire for one offloaded frame."""
+    """Bytes on the wire for one offloaded frame.
+
+    Pure in its arguments and called once per captured frame, so it is
+    memoised: a stream revisits a handful of (resolution, quality)
+    pairs, and each miss costs an ``np.interp``.
+    """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     pixels = resolution * resolution

@@ -12,6 +12,17 @@ behaviour that makes loss *both* a delay and a goodput problem.
 Delivered payloads incur an additional propagation delay plus Gaussian
 jitter (pipelined: propagation does not occupy the serializer).
 
+Event model
+-----------
+The serializer costs the event kernel two heap entries per delivered
+frame, whatever its packet count: when it dequeues a frame it draws
+every attempt's loss outcome from the link's private rng stream, sums
+the frame's absolute end time (packet times plus RTO stalls, in the
+order the wire would take them) and sleeps once until then; delivery
+is one more timer.  Under ``REPRO_SIM_SLOWPATH=1`` it instead sleeps
+once per packet attempt and per stall — the reference the fast path
+is checked against, with byte-identical results.
+
 Calibration of the paper's bandwidth units
 ------------------------------------------
 Table V expresses bandwidth as "kbps" values 1/4/10.  Taken literally
@@ -36,7 +47,7 @@ from typing import Any, Callable, Deque, Optional, Tuple
 import numpy as np
 
 from repro.netem.loss import GilbertElliottChain, GilbertElliottParams
-from repro.netem.packet import PACKET_OVERHEAD_BYTES, packets_for
+from repro.netem.packet import PACKET_OVERHEAD_BYTES, PACKET_PAYLOAD_BYTES, packets_for
 from repro.sim.core import Environment
 from repro.sim.events import Event
 
@@ -112,7 +123,15 @@ class ConditionBox:
 
 @dataclass
 class LinkStats:
-    """Counters exposed for tests and reports."""
+    """Counters exposed for tests and reports.
+
+    The serializer draws a frame's whole ARQ outcome when it dequeues
+    the frame, so ``packets_sent`` and ``retransmissions`` are credited
+    for the frame on the wire up front.  The per-packet reference path
+    (``REPRO_SIM_SLOWPATH=1``) credits them attempt by attempt, so a
+    mid-run reading may differ between the two by that one frame; once
+    the link drains they are equal.
+    """
 
     frames_sent: int = 0
     frames_delivered: int = 0
@@ -232,25 +251,11 @@ class Link:
             self._queued_bytes -= nbytes
 
             cond = self.box.conditions
-            abandoned = False
-            for pkt_payload in self._packet_sizes(nbytes):
-                pkt_time = cond.packet_time(pkt_payload)
-                attempts = 1
-                while True:
-                    self.stats.packets_sent += 1
-                    yield env.sleep(pkt_time)
-                    if not self._packet_lost(cond):
-                        break  # got through
-                    attempts += 1
-                    self.stats.retransmissions += 1
-                    if attempts > self.MAX_ATTEMPTS:
-                        abandoned = True
-                        break
-                    # Loss detection stall before the retry occupies
-                    # the channel (wireless MAC behaviour).
-                    yield env.sleep(self._rto(cond))
-                if abandoned:
-                    break
+            if env.slowpath:
+                abandoned = yield from self._transmit_per_packet(nbytes, cond)
+            else:
+                end, abandoned = self._draw_transmission(nbytes, cond)
+                yield self._proc.sleep_until(end)
 
             if abandoned:
                 self.stats.frames_dropped_loss += 1
@@ -271,6 +276,67 @@ class Link:
                 # One heap entry per in-flight payload instead of a
                 # process + init event + timeout.
                 env.call_later(delay, self._deliver_cb, value=(payload, deliver))
+
+    def _draw_transmission(
+        self, nbytes: int, cond: LinkConditions
+    ) -> Tuple[float, bool]:
+        """Draw one frame's ARQ outcome up front: ``(end time, abandoned)``.
+
+        Makes the same loss draws, in the same order, and sums the same
+        floats (``t + packet time`` per attempt, ``t + RTO`` per stall)
+        as :meth:`_transmit_per_packet` does by sleeping attempt by
+        attempt, so the serializer can sleep once to the frame's end.
+        The link's rng stream is private and ``cond`` is read once per
+        frame, so nothing else can observe the earlier draws.
+        """
+        stats = self.stats
+        n = packets_for(nbytes)
+        full_time = cond.packet_time(PACKET_PAYLOAD_BYTES)
+        last_time = cond.packet_time(max(nbytes - (n - 1) * PACKET_PAYLOAD_BYTES, 1))
+        t = self.env.now
+        if cond.loss <= 0.0:
+            # No loss, no draws: every packet goes through first time.
+            stats.packets_sent += n
+            for _ in range(n - 1):
+                t = t + full_time
+            return t + last_time, False
+        rto = self._rto(cond)
+        for i in range(n):
+            pkt_time = full_time if i < n - 1 else last_time
+            attempts = 1
+            while True:
+                stats.packets_sent += 1
+                t = t + pkt_time
+                if not self._packet_lost(cond):
+                    break  # got through
+                attempts += 1
+                stats.retransmissions += 1
+                if attempts > self.MAX_ATTEMPTS:
+                    return t, True
+                t = t + rto
+        return t, False
+
+    def _transmit_per_packet(self, nbytes: int, cond: LinkConditions):
+        """Reference transmission (``REPRO_SIM_SLOWPATH=1``): one sleep
+        per packet attempt and per RTO stall.  Returns True when the
+        frame was abandoned."""
+        env = self.env
+        for pkt_payload in self._packet_sizes(nbytes):
+            pkt_time = cond.packet_time(pkt_payload)
+            attempts = 1
+            while True:
+                self.stats.packets_sent += 1
+                yield env.sleep(pkt_time)
+                if not self._packet_lost(cond):
+                    break  # got through
+                attempts += 1
+                self.stats.retransmissions += 1
+                if attempts > self.MAX_ATTEMPTS:
+                    return True
+                # Loss detection stall before the retry occupies
+                # the channel (wireless MAC behaviour).
+                yield env.sleep(self._rto(cond))
+        return False
 
     def _deliver_after(self, delay: float, payload: Any, deliver: Callable[[Any], None]):
         yield self.env.timeout(delay)
@@ -298,8 +364,6 @@ class Link:
     @staticmethod
     def _packet_sizes(nbytes: int):
         """Payload byte counts of the packets carrying ``nbytes``."""
-        from repro.netem.packet import PACKET_PAYLOAD_BYTES
-
         n = packets_for(nbytes)
         for i in range(n):
             if i < n - 1:

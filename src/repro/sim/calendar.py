@@ -64,23 +64,22 @@ class CalendarEnvironment(Environment):
     def queue_size(self) -> int:
         return self._count - self._dead
 
-    def schedule(
+    def schedule_at(
         self,
         event: Event,
+        when: float,
         priority: int = EventPriority.NORMAL,
-        delay: float = 0.0,
     ) -> None:
         if event._scheduled:
             raise RuntimeError(f"{event!r} scheduled twice")
         event._scheduled = True
-        t = self._now + delay
-        idx = int(t / self.BUCKET_WIDTH)
+        idx = int(when / self.BUCKET_WIDTH)
         bucket = self._buckets.get(idx)
         if bucket is None:
             bucket = []
             self._buckets[idx] = bucket
             heapq.heappush(self._bucket_heap, idx)
-        heapq.heappush(bucket, (t, int(priority), self._seq, event))
+        heapq.heappush(bucket, (when, int(priority), self._seq, event))
         self._seq += 1
         self._count += 1
         stats = self._stats

@@ -13,8 +13,9 @@ Hot-path notes (see ``docs/performance.md`` for the full cost model):
 
 Setting ``REPRO_SIM_SLOWPATH=1`` in the environment disables the sleep
 fast path and the call-site timer optimizations (the offload watchdog
-and link delivery fall back to one process per timer), which is the
-escape hatch the determinism tests diff against.
+and link delivery fall back to one process per timer, the link
+serializer to one sleep per packet attempt), which is the escape hatch
+the determinism tests diff against.
 """
 
 from __future__ import annotations
@@ -251,9 +252,13 @@ class Environment:
         ``|``/``&`` or shared; use :meth:`timeout` for that.
         """
         proc = self._active_process
-        if proc is None:
+        if proc is None or self._slowpath:
             return Timeout(self, delay)
-        return proc.sleep(delay)
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        # straight to the arming step: one call frame less than
+        # proc.sleep() on the kernel's hottest path
+        return proc._arm_sleep(self._now + delay)
 
     def call_later(
         self,
@@ -277,7 +282,7 @@ class Environment:
         ev._ok = True
         ev._value = value
         ev.callbacks.append(fn)
-        self.schedule(ev, priority=priority, delay=delay)
+        self.schedule_at(ev, self._now + delay, priority)
         return ev
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
@@ -300,10 +305,27 @@ class Environment:
         delay: float = 0.0,
     ) -> None:
         """Put a triggered event on the heap, ``delay`` seconds ahead."""
+        self.schedule_at(event, self._now + delay, priority)
+
+    def schedule_at(
+        self,
+        event: Event,
+        when: float,
+        priority: int = EventPriority.NORMAL,
+    ) -> None:
+        """Put a triggered event on the heap at absolute time ``when``.
+
+        The primitive behind :meth:`schedule`: a caller that has
+        accumulated an absolute end time (the link serializer summing
+        packet times) lands on it exactly, where ``now + (when - now)``
+        may round to a neighbouring float.  Like ``delay`` for
+        :meth:`schedule`, ``when`` is the caller's to validate: it must
+        not lie in the past.
+        """
         if event._scheduled:
             raise RuntimeError(f"{event!r} scheduled twice")
         event._scheduled = True
-        heapq.heappush(self._queue, (self._now + delay, int(priority), self._seq, event))
+        heapq.heappush(self._queue, (when, int(priority), self._seq, event))
         self._seq += 1
         stats = self._stats
         if stats is not None:

@@ -163,7 +163,8 @@ class Event:
             raise RuntimeError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, priority=priority)
+        env = self.env
+        env.schedule_at(self, env._now, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = EventPriority.NORMAL) -> "Event":
@@ -174,7 +175,8 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._ok = False
         self._value = exception
-        self.env.schedule(self, priority=priority)
+        env = self.env
+        env.schedule_at(self, env._now, priority)
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -244,7 +246,7 @@ class Timeout(Event):
         self.delay = float(delay)
         self._ok = True
         self._value = value
-        env.schedule(self, priority=EventPriority.NORMAL, delay=self.delay)
+        env.schedule_at(self, env._now + self.delay, EventPriority.NORMAL)
 
 
 class Condition(Event):

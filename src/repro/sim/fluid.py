@@ -1,14 +1,14 @@
 """The hybrid-kernel regime manager: steady windows vs exact DES.
 
 The exact kernel simulates every frame as a handful of heap events
-(camera tick, link serialization per packet, delivery, server batch,
-response, watchdog).  At 30 fps that cost is the wall the PR-3 fast
-path cannot move.  The fluid regime removes it for the *boring* parts
-of a run: when arrival and service rates are stable and nothing is
-scheduled to change, per-frame outcomes are predicted analytically
-through :mod:`repro.analysis.queueing` instead of being event-stepped
-(the rate-based abstraction of Chakrabarti et al., arXiv:2010.13737,
-and Qiu et al., arXiv:2208.00485).
+(camera tick, one link serialization sleep and one delivery per
+direction, server batch, watchdog).  At 30 fps that cost is the wall
+the kernel fast paths cannot move.  The fluid regime removes it for the
+*boring* parts of a run: when arrival and service rates are stable and
+nothing is scheduled to change, per-frame outcomes are predicted
+analytically through :mod:`repro.analysis.queueing` instead of being
+event-stepped (the rate-based abstraction of Chakrabarti et al.,
+arXiv:2010.13737, and Qiu et al., arXiv:2208.00485).
 
 The :class:`FluidRegime` decides *when* that is sound.  It knows every
 upcoming structural edge — controller measure ticks, network/load

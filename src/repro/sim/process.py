@@ -77,7 +77,7 @@ class Process(Event):
         init._scheduled = False
         init._defused = False
         init._cancelled = False
-        env.schedule(init, priority=EventPriority.URGENT)
+        env.schedule_at(init, env._now, EventPriority.URGENT)
 
     # ------------------------------------------------------------------
     @property
@@ -158,6 +158,24 @@ class Process(Event):
             return Timeout(env, delay)
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
+        return self._arm_sleep(env._now + delay)
+
+    def sleep_until(self, when: float) -> Event:
+        """Suspend this process until absolute time ``when``.
+
+        The absolute-time twin of :meth:`sleep`, for a caller that has
+        accumulated its end time itself: it lands on ``when`` exactly,
+        which ``sleep(when - now)`` does not promise under float
+        rounding.  Same single-waiter contract as :meth:`sleep`.
+        """
+        now = self.env._now
+        if when < now:
+            raise ValueError(f"cannot sleep until {when!r}, before now={now!r}")
+        return self._arm_sleep(when)
+
+    def _arm_sleep(self, when: float) -> Event:
+        """Schedule the reusable resume timer at absolute time ``when``."""
+        env = self.env
         if self._sleep_cbs is None:
             self._sleep_cbs = [self._resume_cb]
         ev = self._sleep_ev
@@ -175,7 +193,7 @@ class Process(Event):
             ev._value = None
             ev.callbacks = self._sleep_cbs
             self._sleep_ev = ev
-        env.schedule(ev, priority=EventPriority.NORMAL, delay=delay)
+        env.schedule_at(ev, when, EventPriority.NORMAL)
         return ev
 
     # ------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Unit + property tests for the emulated link."""
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.netem import (
@@ -224,3 +227,109 @@ def test_every_frame_is_delivered_or_dropped_exactly_once(sizes, loss, seed):
     assert sorted(set(delivered)) == sorted(delivered)  # no duplicates
     # with zero jitter, survivors arrive in FIFO order
     assert delivered == sorted(delivered)
+
+
+# ----------------------------------------------------------------------
+# per-frame fast path vs the per-packet reference (REPRO_SIM_SLOWPATH)
+# ----------------------------------------------------------------------
+def _env(slowpath):
+    with mock.patch.dict(os.environ):
+        os.environ.pop("REPRO_SIM_SLOWPATH", None)
+        if slowpath:
+            os.environ["REPRO_SIM_SLOWPATH"] = "1"
+        env = Environment()
+    assert env.slowpath is slowpath
+    return env
+
+
+def _drive(slowpath, frames, first, second, switch_at, seed):
+    """Send ``frames`` (size, gap) through one link, switching the
+    conditions from ``first`` to ``second`` at ``switch_at``; drain."""
+    env = _env(slowpath)
+    link, box = make_link(env, first, seed=seed, cap=60_000)
+    delivered, overflowed = [], set()
+
+    def sender():
+        for i, (nbytes, gap) in enumerate(frames):
+            if not link.send(nbytes, i, lambda p: delivered.append((env.now, p))):
+                overflowed.add(i)
+            yield env.timeout(gap)
+
+    def switcher():
+        yield env.timeout(switch_at)
+        box.set(second)
+
+    env.process(sender())
+    env.process(switcher())
+    env.run()
+    got = {p for _, p in delivered}
+    lost = set(range(len(frames))) - got - overflowed
+    # env.now after draining is the last frame's end on the wire, which
+    # also pins when an abandoned last frame gave up
+    rng_state = link.rng.bit_generator.state
+    return delivered, overflowed, lost, link.stats, rng_state, env.now
+
+
+_conditions = st.builds(
+    LinkConditions,
+    bandwidth=st.sampled_from([1.0, 4.0, 10.0]),
+    loss=st.sampled_from([0.0, 0.05, 0.3]),
+    loss_burst=st.sampled_from([1.0, 4.0]),
+)
+
+
+@given(
+    frames=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40_000),
+            st.sampled_from([0.0, 0.01, 1 / 30, 0.1]),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+    first=_conditions,
+    second=_conditions,
+    switch_at=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+# bursty loss abandons frames 0 and 1 at seed 7 with 2 more queued
+# behind them, so the instant of each give-up shows in later deliveries
+@example(
+    frames=[(12_000, 0.0)] * 4,
+    first=LinkConditions(loss=0.3, loss_burst=4.0),
+    second=LinkConditions(loss=0.3, loss_burst=4.0),
+    switch_at=0.5,
+    seed=7,
+)
+@settings(max_examples=60, deadline=None)
+def test_per_frame_serializer_matches_per_packet_reference(
+    frames, first, second, switch_at, seed
+):
+    fast = _drive(False, frames, first, second, switch_at, seed)
+    slow = _drive(True, frames, first, second, switch_at, seed)
+    # floats compared with ==: the fast path must land on the very
+    # same instants, not merely close ones
+    assert fast == slow
+
+
+def test_link_stats_credit_a_frame_when_it_is_dequeued():
+    """The per-frame path credits every packet of a frame at dequeue;
+    the reference credits them one attempt at a time.  The two agree
+    once the link drains, but not while a frame is on the wire."""
+    cond = LinkConditions(bandwidth=1.0, jitter_sigma=0.0)
+    nbytes = 11_700
+    n_pkts = packets_for(nbytes)
+    mid = cond.packet_time() * 2.5  # inside the third packet
+    readings = {}
+    for slowpath in (False, True):
+        env = _env(slowpath)
+        link, _ = make_link(env, cond)
+        link.send(nbytes, "f", lambda p: None)
+        env.run(until=mid)
+        during = link.stats.packets_sent
+        env.run()
+        readings[slowpath] = (during, link.stats)
+    assert readings[False][0] == n_pkts
+    assert readings[True][0] == 3
+    assert readings[False][1] == readings[True][1]
+    assert readings[False][1].packets_sent == n_pkts

@@ -5,6 +5,8 @@ runs under the fast path is pinned separately in
 ``test_sim_determinism.py``, and throughput in ``BENCH_kernel.json``.
 """
 
+import itertools
+
 import pytest
 
 from repro.sim import Environment, EnvStats, Interrupt
@@ -436,3 +438,92 @@ def test_kernel_probe_tolerates_cancelled_heads():
         env.run()
     assert probe.stats.events_processed == 1
     assert probe.stats.by_type == {"Timeout": 1}
+
+
+# ----------------------------------------------------------------------
+# absolute-time scheduling: schedule_at / sleep_until
+# ----------------------------------------------------------------------
+def test_schedule_at_lands_on_the_exact_float():
+    env = Environment()
+    env.run(until=0.2)
+    when = 0.9
+    assert env.now + (when - env.now) != when  # the relative form drifts
+    ev = env.event()
+    ev._ok, ev._value = True, None
+    env.schedule_at(ev, when)
+    env.run()
+    assert env.now == when
+
+
+def test_sleep_until_resumes_at_the_absolute_time():
+    env = Environment()
+    seen = []
+
+    def proc(env):
+        me = env.active_process
+        t = env.now
+        for _ in range(5):
+            t = t + 0.1
+            yield me.sleep_until(t)
+            seen.append(env.now)
+        with pytest.raises(ValueError):
+            me.sleep_until(env.now - 1.0)
+
+    p = env.process(proc(env))
+    env.run()
+    assert p.ok
+    assert seen == list(itertools.accumulate([0.1] * 5))
+
+
+def test_sleep_until_reuses_the_pre_wired_sleep_event():
+    env = Environment()
+    events = []
+
+    def proc(env):
+        me = env.active_process
+        for k in range(3):
+            ev = me.sleep(0.5) if k % 2 else me.sleep_until(env.now + 0.5)
+            events.append(ev)
+            yield ev
+
+    env.process(proc(env))
+    env.run()
+    assert type(events[0]) is _SleepEvent
+    assert all(ev is events[0] for ev in events)
+
+
+# ----------------------------------------------------------------------
+# link event budget: one serializer wake-up + one delivery per frame
+# ----------------------------------------------------------------------
+def test_fig3_link_schedules_at_most_two_events_per_frame():
+    """The per-frame serializer sleeps once per frame and hands off one
+    delivery timer; a return to per-packet sleeps (~10 events per
+    frame on the uplink) fails here."""
+    from repro.control.framefeedback import FrameFeedbackController
+    from repro.device.config import DeviceConfig
+    from repro.experiments.scenario import Scenario, build_runtime
+    from repro.sim import core as sim_core
+    from repro.workloads.schedules import table_v_schedule
+
+    device = DeviceConfig(total_frames=600)
+    sink = []
+    sim_core.capture_env_stats(sink)
+    try:
+        rt = build_runtime(
+            Scenario(
+                controller_factory=lambda cfg: FrameFeedbackController(cfg.frame_rate),
+                device=device,
+                network=table_v_schedule(),
+                duration=device.stream_duration + 1.0,
+                seed=0,
+            )
+        )
+        rt.run()
+    finally:
+        sim_core.capture_env_stats(None)
+    (stats,) = sink
+    for link in (rt.uplink, rt.downlink):
+        sent = link.stats.frames_sent
+        assert sent > 100
+        events = stats.events_by_process[f"link:{link.name}"]
+        assert events <= 2 * sent, (link.name, events, sent)
