@@ -186,9 +186,11 @@ class RateLimitedMDPController(Controller):
 
     name = "RateLimitedMDP"
 
-    #: offline value-iteration stop criteria
+    #: offline value iteration stops once a sweep moves no entry by this much
     _VI_TOL = 1e-10
-    _VI_MAX_ITERS = 500
+    #: sweep cap floor; the cap is ``max(this, ceil(50 / (1 - discount)))``
+    #: and reaching it raises rather than returning an unconverged table
+    _VI_MIN_SWEEPS = 500
 
     def __init__(
         self,
@@ -242,7 +244,8 @@ class RateLimitedMDPController(Controller):
         self._staleness = 0
         #: policy table, ``_policy[bucket_index][staleness_index]`` ->
         #: offload rate (frames/s); filled by offline value iteration
-        self._policy: List[List[float]] = self._value_iterate()
+        value, self._policy = self._value_iterate()
+        self._value_table = tuple(tuple(row) for row in value)
 
     # ------------------------------------------------------------------
     # offline planning (pure function of the constructor parameters)
@@ -278,49 +281,75 @@ class RateLimitedMDPController(Controller):
             branches = [(1.0, staler)]
         return reward, next_tokens, branches
 
-    def _value_iterate(self) -> List[List[float]]:
+    def _value_iterate(self) -> Tuple[List[List[float]], List[List[float]]]:
+        """Gauss-Seidel value iteration; returns ``(value, policy)``.
+
+        Every (state, action) entry is resolved once into a cell
+        ``(reward, successor value row, live branches)``; a sweep then
+        only does arithmetic.  The rows are updated in place, so a cell
+        always reads the newest values, in i-then-j order.
+        """
         nb, ns = self.bucket_levels, self.staleness_levels
         levels = [self.burst * i / (nb - 1) for i in range(nb)]
         actions = [f * self.fill_rate for f in self.action_fracs]
-
-        # precompute the (reward, transition) table once
-        table = [
-            [
-                [self._step_model(levels[i], j, a) for a in actions]
-                for j in range(ns)
-            ]
-            for i in range(nb)
-        ]
-
-        def q_value(entry, value) -> float:
-            reward, nt, branches = entry
-            ni = self._level(nt)
-            future = sum(p * value[ni][nj] for p, nj in branches if p > 0.0)
-            return reward + self.discount * future
+        discount = self.discount
 
         value = [[0.0] * ns for _ in range(nb)]
-        for _ in range(self._VI_MAX_ITERS):
-            delta = 0.0
-            for i in range(nb):
-                for j in range(ns):
-                    best = max(q_value(entry, value) for entry in table[i][j])
-                    delta = max(delta, abs(best - value[i][j]))
-                    value[i][j] = best
-            if delta < self._VI_TOL:
-                break
-
-        policy = [[0.0] * ns for _ in range(nb)]
+        sweep = []
         for i in range(nb):
             for j in range(ns):
-                best_q, best_a = -math.inf, 0.0
-                for k, entry in enumerate(table[i][j]):
-                    q = q_value(entry, value)
-                    if q > best_q + 1e-12:  # first maximizer wins ties
-                        best_q, best_a = q, actions[k]
-                policy[i][j] = best_a
-        return policy
+                cells = []
+                for a in actions:
+                    reward, nt, branches = self._step_model(levels[i], j, a)
+                    live = tuple((p, nj) for p, nj in branches if p > 0.0)
+                    cells.append((reward, value[self._level(nt)], live))
+                sweep.append((value[i], j, cells))
+
+        # measured convergence takes ~23 / (1 - discount) sweeps
+        max_sweeps = max(self._VI_MIN_SWEEPS, math.ceil(50 / (1.0 - discount)))
+        for sweeps in range(1, max_sweeps + 1):
+            delta = 0.0
+            for row, j, cells in sweep:
+                best = None
+                for reward, succ, live in cells:
+                    future = 0  # int start and left-to-right adds, as sum()
+                    for p, nj in live:
+                        future += p * succ[nj]
+                    q = reward + discount * future
+                    if best is None or q > best:  # first maximum, as max()
+                        best = q
+                change = abs(best - row[j])
+                if change > delta:
+                    delta = change
+                row[j] = best
+            if delta < self._VI_TOL:
+                break
+        else:
+            raise RuntimeError(
+                f"value iteration did not converge: discount={discount}, "
+                f"{sweeps} sweeps, final delta {delta:.3g} "
+                f"(tolerance {self._VI_TOL:g})"
+            )
+
+        policy = [[0.0] * ns for _ in range(nb)]
+        for k, (_, j, cells) in enumerate(sweep):
+            best_q, best_a = -math.inf, 0.0
+            for a, (reward, succ, live) in zip(actions, cells):
+                future = 0
+                for p, nj in live:
+                    future += p * succ[nj]
+                q = reward + discount * future
+                if q > best_q + 1e-12:  # first maximizer wins ties
+                    best_q, best_a = q, a
+            policy[k // ns][j] = best_a
+        return value, policy
 
     # ------------------------------------------------------------------
+    @property
+    def value_table(self) -> Tuple[Tuple[float, ...], ...]:
+        """The solved values, ``value_table[bucket_index][staleness_index]``."""
+        return self._value_table
+
     @property
     def tokens(self) -> float:
         return self._tokens
